@@ -30,9 +30,8 @@ lint-check:
 	go run ./cmd/sgvet -check-artifact sgvet-findings.json
 
 # Perf baseline: run the deterministic 8-algorithm sweep and append the
-# next BENCH_<n>.json to the committed trajectory (the first invocation
-# writes BENCH_0.json from the legacy data plane and BENCH_1.json from
-# the current one, in a single run).
+# next BENCH_<n>.json to the committed trajectory (BENCH_0.json when
+# there is none yet).
 bench-baseline:
 	go run ./cmd/sgbench -baseline
 

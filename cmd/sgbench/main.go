@@ -286,11 +286,9 @@ func writeBaseline(path string, rep *bench.BaselineReport) error {
 
 // runBaseline implements -baseline and -bench-check.
 //
-// -baseline with an empty trajectory writes BENCH_0.json from the
-// legacy (pre-zero-copy) data plane and BENCH_1.json from the current
-// one, in a single invocation, so the pair is directly comparable. With
-// an existing trajectory it appends BENCH_<n+1>.json from the current
-// tree.
+// -baseline appends the next BENCH_<n>.json to the trajectory from the
+// current tree: BENCH_0.json when there is none yet, BENCH_<n+1>.json
+// after an existing BENCH_<n>.json.
 //
 // -bench-check re-runs the sweep with the newest committed file's
 // scale/seed and exits nonzero if engine seconds or allocs/op regressed
@@ -331,27 +329,10 @@ func runBaseline(dir string, check bool) error {
 		return nil
 	}
 
-	if len(idxs) == 0 {
-		legacy, err := bench.RunBaseline(bench.BaselineConfig{LegacyDataPlane: true})
-		if err != nil {
-			return err
-		}
-		if err := writeBaseline(filepath.Join(dir, "BENCH_0.json"), legacy); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_0.json (legacy data plane)")
-		cur, err := bench.RunBaseline(bench.BaselineConfig{})
-		if err != nil {
-			return err
-		}
-		if err := writeBaseline(filepath.Join(dir, "BENCH_1.json"), cur); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_1.json (zero-copy data plane)")
-		return nil
+	next := 0
+	if len(idxs) > 0 {
+		next = idxs[len(idxs)-1] + 1
 	}
-
-	next := idxs[len(idxs)-1] + 1
 	cur, err := bench.RunBaseline(bench.BaselineConfig{})
 	if err != nil {
 		return err

@@ -70,16 +70,10 @@ func (c BaselineCell) Key() string {
 
 // BaselineReport is the schema of a BENCH_<n>.json artifact.
 type BaselineReport struct {
-	Schema int    `json:"schema"`
-	Scale  int    `json:"scale"`
-	Seed   uint64 `json:"seed"`
-	// LegacyDataPlane records which core assembly path produced the
-	// numbers (true = pre-zero-copy copying path).
-	LegacyDataPlane bool `json:"legacy_data_plane"`
-	// LegacyScan records which edge-scan path produced the numbers
-	// (true = pre-binning per-buffer-group framing).
-	LegacyScan bool           `json:"legacy_scan"`
-	Cells      []BaselineCell `json:"cells"`
+	Schema int            `json:"schema"`
+	Scale  int            `json:"scale"`
+	Seed   uint64         `json:"seed"`
+	Cells  []BaselineCell `json:"cells"`
 }
 
 // BaselineConfig are the harness knobs. The zero value selects the
@@ -95,10 +89,6 @@ type BaselineConfig struct {
 	// traffic and allocation counts are deterministic across repeats;
 	// only wall time is noisy).
 	Repeats int
-	// LegacyDataPlane selects the pre-zero-copy core assembly path.
-	LegacyDataPlane bool
-	// LegacyScan selects the pre-binning edge-scan loops.
-	LegacyScan bool
 }
 
 func (c BaselineConfig) defaults() BaselineConfig {
@@ -132,13 +122,7 @@ func RunBaseline(cfg BaselineConfig) (*BaselineReport, error) {
 	sym := graph.Symmetrize(base)
 	weighted := graph.RandomWeights(sym, int64(cfg.Seed)+1)
 
-	rep := &BaselineReport{
-		Schema:          1,
-		Scale:           cfg.Scale,
-		Seed:            cfg.Seed,
-		LegacyDataPlane: cfg.LegacyDataPlane,
-		LegacyScan:      cfg.LegacyScan,
-	}
+	rep := &BaselineReport{Schema: 1, Scale: cfg.Scale, Seed: cfg.Seed}
 	for _, v := range baselineModes {
 		for _, nodes := range cfg.NodeCounts {
 			for _, algo := range BaselineAlgos {
@@ -178,14 +162,12 @@ func runBaselineCell(algo string, v Variant, nodes int, cfg BaselineConfig,
 		g = sym
 	}
 	c, err := core.NewCluster(g, core.Options{
-		NumNodes:        nodes,
-		Mode:            v.Mode,
-		DepThreshold:    v.DepThreshold,
-		NumBuffers:      v.NumBuffers,
-		Link:            &comm.LinkModel{}, // instant: measure compute, not simulated wire
-		LegacyDataPlane: cfg.LegacyDataPlane,
-		LegacyScan:      cfg.LegacyScan,
-		Tracer:          tr,
+		NumNodes:     nodes,
+		Mode:         v.Mode,
+		DepThreshold: v.DepThreshold,
+		NumBuffers:   v.NumBuffers,
+		Link:         &comm.LinkModel{}, // instant: measure compute, not simulated wire
+		Tracer:       tr,
 	})
 	if err != nil {
 		return cell, err

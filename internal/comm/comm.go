@@ -77,20 +77,20 @@ type Message struct {
 	Tag     int32
 	Payload []byte
 
-	// pooled marks a payload the transport owns outright (hand-off via
+	// owned marks a payload the transport owns outright (hand-off via
 	// SendBufs, or a slab-backed TCP read); only those return to the
 	// slab on Release.
-	pooled bool
+	owned bool
 }
 
 // Release returns the payload to the slab when the transport owned it
 // and poisons the message against reuse. Idempotent; safe on the zero
 // Message.
 func (m *Message) Release() {
-	if m.pooled && m.Payload != nil {
+	if m.owned && m.Payload != nil {
 		bufpool.Put(m.Payload)
 	}
-	m.pooled = false
+	m.owned = false
 	m.Payload = nil
 }
 

@@ -164,7 +164,7 @@ func (e *memEndpoint) SendBufs(to NodeID, kind Kind, tag int32, bufs Buffers) er
 		}
 		bufs.release()
 	}
-	return e.send(to, Message{From: e.id, Kind: kind, Tag: tag, Payload: payload, pooled: true})
+	return e.send(to, Message{From: e.id, Kind: kind, Tag: tag, Payload: payload, owned: true})
 }
 
 // send is the shared delivery path: instant hand-off, or the simulated

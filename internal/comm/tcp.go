@@ -237,7 +237,7 @@ func (e *TCPEndpoint) readLoop(from NodeID) {
 			// Payloads are read into slab buffers and owned by the
 			// receiver: Message.Release returns them for the next frame.
 			m.Payload = bufpool.Get(size)
-			m.pooled = true
+			m.owned = true
 		}
 		if _, err := io.ReadFull(conn, m.Payload); err != nil {
 			e.inbox.close()

@@ -172,13 +172,11 @@ func NewCluster(g *graph.Graph, opts Options) (*Cluster, error) {
 	}
 	for m := 0; m < opts.NumNodes; m++ {
 		c.layouts[m] = partition.BuildLayout(g, pt, class, m)
-		if opts.binnedScan() {
-			// The binned sparse scan reads the partition-blocked CSR.
-			// Derivation is deterministic from (graph, partition), so a
-			// rebuilt engine over any epoch snapshot blocks identically.
-			if err := c.layouts[m].AttachBlocked(g, 0); err != nil {
-				return nil, err
-			}
+		// The sparse scan reads the partition-blocked CSR. Derivation is
+		// deterministic from (graph, partition), so a rebuilt engine
+		// over any epoch snapshot blocks identically.
+		if err := c.layouts[m].AttachBlocked(g, 0); err != nil {
+			return nil, err
 		}
 	}
 	if opts.Endpoints != nil {
@@ -255,10 +253,8 @@ func NewDistributedNode(g *graph.Graph, opts Options, ep comm.Endpoint) (*Cluste
 	// Only the local machine's layout and endpoint exist in this
 	// process — the memory footprint a real cluster member would have.
 	c.layouts[id] = partition.BuildLayout(g, pt, class, id)
-	if opts.binnedScan() {
-		if err := c.layouts[id].AttachBlocked(g, 0); err != nil {
-			return nil, err
-		}
+	if err := c.layouts[id].AttachBlocked(g, 0); err != nil {
+		return nil, err
 	}
 	if opts.Fault != nil {
 		ep = opts.Fault.WrapOne(ep)
@@ -487,7 +483,9 @@ func (c *Cluster) runOnce(ctx context.Context, prog func(w *Worker) error) error
 		})
 	}
 	watchDone := make(chan struct{})
+	watcherExited := make(chan struct{})
 	go func() {
+		defer close(watcherExited)
 		select {
 		case <-ctx.Done():
 			poison(ctx.Err())
@@ -500,7 +498,11 @@ func (c *Cluster) runOnce(ctx context.Context, prog func(w *Worker) error) error
 			poison(errs[i])
 		}
 	}
+	// Join the watcher: once runOnce returns, a ctx cancelled later (a
+	// server cancels every request context after releasing its lease)
+	// can no longer poison the cluster the next run is leased from.
 	close(watchDone)
+	<-watcherExited
 	elapsed := time.Since(start)
 
 	var stats RunStats

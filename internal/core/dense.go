@@ -55,26 +55,29 @@ type DenseParams[M any] struct {
 
 // emitChunkBytes is the slab chunk size for update assembly: signal
 // contexts fill fixed-capacity chunks from internal/bufpool and flush
-// them into the step's buffer list when full, so a superstep's update
+// them into the step's bin list when full, so a superstep's update
 // traffic is assembled with zero garbage-collected allocations and sent
 // vectored (no concatenation) through comm.SendBufs.
 const emitChunkBytes = 64 << 10
 
-// DenseCtx is the per-worker signal context. It carries the update buffer,
+// minDepGroupBytes is the smallest dependency frame a step splits off as
+// a group of its own. A frame pays a fixed cost (header, link latency, a
+// receive) that overlapping it with the next group's scan cannot
+// recover when there is little to transfer, so small frames stay whole.
+const minDepGroupBytes = 1 << 10
+
+// DenseCtx is the per-worker signal context. It carries the update bin,
 // traversal counters, and — in SympleGraph mode — the dependency state of
 // the destination being processed (the engine-side realization of the
 // paper's receive_dep/emit_dep primitives, Figure 5).
 type DenseCtx[M any] struct {
 	codec Codec[M]
 	size  int
-	buf   []byte
-
-	// pooled selects the slab emit path: buf is a fixed-capacity chunk
-	// from bufpool, pushed to chunks when full. When false (legacy data
-	// plane) buf grows through the garbage collector instead.
-	pooled   bool
-	chunks   *[][]byte
-	chunksMu *sync.Mutex
+	// buf is the open emit chunk, a fixed-capacity slab buffer retired
+	// into the step's bins when full and at the end of the step.
+	buf    []byte
+	bins   *[][]byte
+	binsMu *sync.Mutex
 
 	edges   int64
 	skipped int64
@@ -95,7 +98,7 @@ func (ctx *DenseCtx[M]) Edge() { ctx.edges++ }
 // Emit sends msg for the current destination to its master's slot.
 func (ctx *DenseCtx[M]) Emit(msg M) {
 	rec := 4 + ctx.size
-	if ctx.pooled && cap(ctx.buf)-len(ctx.buf) < rec {
+	if cap(ctx.buf)-len(ctx.buf) < rec {
 		ctx.flushChunk()
 	}
 	off := len(ctx.buf)
@@ -104,15 +107,15 @@ func (ctx *DenseCtx[M]) Emit(msg M) {
 	ctx.codec.Encode(ctx.buf[off+4:], msg)
 }
 
-// flushChunk retires the current emit chunk — into the step's buffer
-// list when it holds records, back to the slab when untouched — and
-// starts a fresh one. Chunks hold whole records only, so the eventual
-// vectored frame decodes identically to a concatenated payload.
+// flushChunk retires the current emit chunk — into the step's bins when
+// it holds records, back to the slab when untouched — and starts a fresh
+// one. Chunks hold whole records only, so the eventual vectored frame
+// decodes identically to a concatenated payload.
 func (ctx *DenseCtx[M]) flushChunk() {
 	if len(ctx.buf) > 0 {
-		ctx.chunksMu.Lock()
-		*ctx.chunks = append(*ctx.chunks, ctx.buf)
-		ctx.chunksMu.Unlock()
+		ctx.binsMu.Lock()
+		*ctx.bins = append(*ctx.bins, ctx.buf)
+		ctx.binsMu.Unlock()
 	} else if ctx.buf != nil {
 		bufpool.Put(ctx.buf)
 	}
@@ -155,38 +158,41 @@ func (ctx *DenseCtx[M]) SetDepFloat(lane int, v float64) {
 // returns the global sum of slot contributions.
 //
 // The pass executes the circulant schedule (paper §5.1): in step j this
-// machine processes the block destined to partition (id+1+j) mod p.
-// Untracked (low-degree) destinations are processed at step start — they
-// need no dependency input, so their computation overlaps the
-// predecessor's work (§5.3's low/high overlap). Tracked destinations are
-// processed in NumBuffers groups: each group's dependency frame is
-// received from the right neighbor just before the group and forwarded to
-// the left neighbor right after (double buffering). Updates for the block
-// are sent to the destination partition's master machine at the end of
-// the step, and the update destined to this machine for the same step is
-// received and slotted before the next step begins.
+// machine processes the block destined to partition d = (id+1+j) mod p.
+//
+//   - Untracked (low-degree) destinations are processed at step start:
+//     they need no dependency input, so their computation overlaps the
+//     predecessor's work (§5.3's low/high overlap).
+//   - Tracked destinations are processed in depGroups pipelined groups
+//     of the tracked index space (double buffering, §5.3): group k's
+//     dependency frame is received from the right neighbor just before
+//     the group is scanned and forwarded to the left neighbor right
+//     after, so the neighbor scans group k while this machine scans
+//     group k+1. Group state is index-disjoint and the word-aligned
+//     group frames concatenate byte-exactly into the whole step's
+//     frame, so the group count changes framing only, never results.
+//   - A step's update records accumulate into slab bins and leave as one
+//     vectored frame to d's master at the end of the step; bin ownership
+//     passes to the transport at SendBufs. The update destined to this
+//     machine is applied, in ring order, once every step has run.
 func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 	p := w.N()
-	opts := w.cluster.opts
-	B := opts.NumBuffers
+	B := w.cluster.opts.NumBuffers
 	lanes := params.Lanes
 	if lanes < 0 {
 		return 0, fmt.Errorf("core: negative Lanes %d", lanes)
 	}
-	depOn := opts.Mode == ModeSympleGraph && p > 1
-	if opts.binnedScan() {
-		return processEdgesDenseBinned(w, &params, depOn)
-	}
-	pooled := !opts.LegacyDataPlane
-	base := w.nextTags(int32(p*B + p)) // p*B dependency frames + p update rounds
+	depOn := w.cluster.opts.Mode == ModeSympleGraph && p > 1
+	base := w.nextTags(int32(p*B + p)) // ≤ B dependency frames per step + p update rounds
 	rn := (w.id + 1) % p
 	ln := (w.id - 1 + p) % p
 	w.observeStep()
 	pass := w.densePass
 	w.densePass++
+	scan := newDenseScan(w, &params)
 
 	var reduced int64
-	var localChunks [][]byte   // our own block's updates, applied in ring order below
+	var localBins [][]byte     // our own block's updates, applied in ring order below
 	var depSkip *bitset.Bitmap // state for the step in flight; after the
 	var depData [][]float64    // loop, the final state of our own partition
 	for j := 0; j < p; j++ {
@@ -194,8 +200,9 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 		d := (w.id + 1 + j) % p
 		block := w.layout.Blocks[d]
 		tracked := len(w.cluster.class.Highs[d])
-
+		groups := 1
 		if depOn {
+			groups = depGroups(tracked, lanes, B)
 			depSkip = bitset.New(tracked)
 			depData = make([][]float64, lanes)
 			for l := range depData {
@@ -203,87 +210,66 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 			}
 		}
 
-		var bufs [][]byte
-		var bufsMu sync.Mutex
-		// Low-degree destinations first: no dependency input needed, so
-		// this computation overlaps the predecessor still working on the
-		// groups we are about to wait for.
-		processDensePositions(w, &params, block, block.LowPos, false, nil, nil, pooled, &bufs, &bufsMu)
+		scanStart := w.spanStart()
+		scan.run(block, block.LowPos, false, nil, nil)
+		w.endSpan(obs.PhaseDenseScan, pass, j, -1, scanStart)
 
-		bounds := groupBounds(tracked, B)
-		splits := splitTrackedByGroup(w.cluster.class, block, bounds)
-		for g := 0; g < B; g++ {
-			if depOn && j > 0 {
-				m, err := w.recvTimed(&w.depWait, comm.NodeID(rn), comm.KindDependency, base+int32((j-1)*B+g),
-					obs.PhaseDepWait, pass, j, g)
+		for k := 0; k < groups; k++ {
+			lo, hi := groupBound(tracked, groups, k), groupBound(tracked, groups, k+1)
+			if depOn && lo < hi && j > 0 {
+				m, err := w.recvTimed(&w.depWait, comm.NodeID(rn), comm.KindDependency, base+int32((j-1)*B+k),
+					obs.PhaseDepWait, pass, j, k)
 				if err != nil {
 					return 0, err
 				}
-				if err := applyDepFrame(m.Payload, depSkip, depData, bounds[g], bounds[g+1]); err != nil {
+				if err := applyDepFrame(m.Payload, depSkip, depData, lo, hi); err != nil {
 					return 0, err
 				}
 				m.Release()
 			}
-			processDensePositions(w, &params, block, splits[g], depOn, depSkip, depData, pooled, &bufs, &bufsMu)
-			if depOn && j < p-1 {
+			if positions := block.TrackedSlice(lo, hi); len(positions) > 0 {
+				scanStart = w.spanStart()
+				scan.run(block, positions, depOn, depSkip, depData)
+				w.endSpan(obs.PhaseDenseScan, pass, j, k, scanStart)
+			}
+			if depOn && lo < hi && j < p-1 {
+				binStart := w.spanStart()
+				frame := encodeDepFrame(depSkip, depData, lo, hi)
+				w.endSpan(obs.PhaseDenseBin, pass, j, k, binStart)
 				flushStart := w.spanStart()
-				frame := encodeDepFrame(depSkip, depData, bounds[g], bounds[g+1], pooled)
-				var err error
-				if pooled {
-					err = w.ep.SendBufs(comm.NodeID(ln), comm.KindDependency, base+int32(j*B+g), comm.Buffers{frame})
-				} else {
-					err = w.ep.Send(comm.NodeID(ln), comm.KindDependency, base+int32(j*B+g), frame)
-				}
-				if err != nil {
+				if err := w.ep.SendBufs(comm.NodeID(ln), comm.KindDependency, base+int32(j*B+k), comm.Buffers{frame}); err != nil {
 					return 0, err
 				}
-				w.endSpan(obs.PhaseBufferFlush, pass, j, g, flushStart)
+				w.endSpan(obs.PhaseBufferFlush, pass, j, k, flushStart)
 			}
 		}
 
-		updateTag := base + int32(p*B+j)
+		bins := scan.retire()
 		if d != w.id {
-			if pooled {
-				// Vectored hand-off: the chunks go out as one frame with
-				// no intermediate concatenation and return to the slab.
-				if err := w.ep.SendBufs(comm.NodeID(d), comm.KindUpdate, updateTag, comm.Buffers(bufs)); err != nil {
-					return 0, err
-				}
-			} else {
-				var total int
-				for _, b := range bufs {
-					total += len(b)
-				}
-				payload := make([]byte, 0, total)
-				for _, b := range bufs {
-					payload = append(payload, b...)
-				}
-				if err := w.ep.Send(comm.NodeID(d), comm.KindUpdate, updateTag, payload); err != nil {
-					return 0, err
-				}
+			flushStart := w.spanStart()
+			if err := w.ep.SendBufs(comm.NodeID(d), comm.KindUpdate, base+int32(p*B+j), comm.Buffers(bins)); err != nil {
+				return 0, err
 			}
+			w.endSpan(obs.PhaseDenseFlush, pass, j, -1, flushStart)
 		} else {
-			localChunks = bufs // our own block, applied in ring position below
+			localBins = bins
 		}
 		w.endSpan(obs.PhaseDenseStep, pass, j, -1, stepStart)
 	}
+	scan.close()
 	// Update communication overlaps with computation (§5.1: "the
 	// computation and update communication of each step can be largely
-	// overlapped"): the per-step messages were sent as each block
+	// overlapped"): the per-step frames were sent as each block
 	// finished; collect and slot them only now that all steps are done,
 	// in ring order so first-wins slots stay deterministic.
 	for j := 0; j < p; j++ {
 		src := ((w.id-1-j)%p + p) % p
 		if src == w.id {
-			// Chunks hold whole records, so per-chunk application equals
+			// Bins hold whole records, so per-bin application equals
 			// applying the concatenation.
-			for _, b := range localChunks {
+			for _, b := range localBins {
 				reduced += applyDenseUpdates(w, &params, b)
-			}
-			if pooled {
-				for _, b := range localChunks {
-					bufpool.Put(b)
-				}
+				bufpool.Put(b)
 			}
 			continue
 		}
@@ -312,200 +298,95 @@ func ProcessEdgesDense[M any](w *Worker, params DenseParams[M]) (int64, error) {
 	return w.AllReduceSum(reduced)
 }
 
-// processEdgesDenseBinned is the partition-binned dense pass (PR 9's
-// scan). The circulant schedule, signal/slot semantics, and low/high
-// overlap are identical to the legacy scan; what changes is framing and
-// accounting:
-//
-//   - A step's update records accumulate into slab bins (one list per
-//     destination partition, filled per worker with no intermediate
-//     concatenation) and leave as a single vectored frame per (peer,
-//     pass) — the flush contract DESIGN.md documents: bin ownership
-//     passes to the transport at SendBufs and the buffers must not be
-//     touched after.
-//   - The NumBuffers dependency-frame groups of a step batch into one
-//     frame covering the whole tracked index space [0, T). Group state
-//     is index-disjoint and the predecessor has finished the entire
-//     block before this machine's tracked slice runs, so the batched
-//     frame carries byte-for-byte the concatenation of the per-group
-//     frames: results are bit-identical, only frame count drops (×B
-//     fewer dependency frames, and none at all for blocks with no
-//     tracked vertices).
-//   - DenseStep splits into traced sub-phases: DenseScan (signal
-//     loops), DenseBin (dependency-frame assembly), DenseFlush
-//     (vectored hand-off).
-//
-// Low-degree destinations still run before the dependency receive, so
-// the §5.3 overlap with the predecessor is preserved; double buffering
-// within a step no longer applies (NumBuffers only shapes the legacy
-// scan's framing).
-func processEdgesDenseBinned[M any](w *Worker, params *DenseParams[M], depOn bool) (int64, error) {
-	p := w.N()
-	lanes := params.Lanes
-	base := w.nextTags(int32(2 * p)) // p dependency frames + p update rounds
-	rn := (w.id + 1) % p
-	ln := (w.id - 1 + p) % p
-	w.observeStep()
-	pass := w.densePass
-	w.densePass++
-
-	var reduced int64
-	var localChunks [][]byte   // our own block's updates, applied in ring order below
-	var depSkip *bitset.Bitmap // state for the step in flight; after the
-	var depData [][]float64    // loop, the final state of our own partition
-	for j := 0; j < p; j++ {
-		stepStart := w.spanStart()
-		d := (w.id + 1 + j) % p
-		block := w.layout.Blocks[d]
-		tracked := len(w.cluster.class.Highs[d])
-
-		if depOn {
-			depSkip = bitset.New(tracked)
-			depData = make([][]float64, lanes)
-			for l := range depData {
-				depData[l] = make([]float64, tracked)
-			}
-		}
-
-		var bins [][]byte
-		var binsMu sync.Mutex
-		// Low-degree destinations first: no dependency input needed, so
-		// this computation overlaps the predecessor still working on the
-		// tracked slice we are about to wait for.
-		scanStart := w.spanStart()
-		processDensePositions(w, params, block, block.LowPos, false, nil, nil, true, &bins, &binsMu)
-		w.endSpan(obs.PhaseDenseScan, pass, j, 0, scanStart)
-
-		if depOn && tracked > 0 && j > 0 {
-			m, err := w.recvTimed(&w.depWait, comm.NodeID(rn), comm.KindDependency, base+int32(j-1),
-				obs.PhaseDepWait, pass, j, -1)
-			if err != nil {
-				return 0, err
-			}
-			if err := applyDepFrame(m.Payload, depSkip, depData, 0, tracked); err != nil {
-				return 0, err
-			}
-			m.Release()
-		}
-		if len(block.TrackedPos) > 0 {
-			scanStart = w.spanStart()
-			processDensePositions(w, params, block, block.TrackedPos, depOn, depSkip, depData, true, &bins, &binsMu)
-			w.endSpan(obs.PhaseDenseScan, pass, j, 1, scanStart)
-		}
-		if depOn && tracked > 0 && j < p-1 {
-			binStart := w.spanStart()
-			frame := encodeDepFrame(depSkip, depData, 0, tracked, true)
-			w.endSpan(obs.PhaseDenseBin, pass, j, -1, binStart)
-			flushStart := w.spanStart()
-			if err := w.ep.SendBufs(comm.NodeID(ln), comm.KindDependency, base+int32(j), comm.Buffers{frame}); err != nil {
-				return 0, err
-			}
-			w.endSpan(obs.PhaseDenseFlush, pass, j, -1, flushStart)
-		}
-
-		if d != w.id {
-			// Vectored hand-off: the step's bins leave as one frame with
-			// no intermediate concatenation and return to the slab; bin
-			// ownership passes to the transport here.
-			flushStart := w.spanStart()
-			if err := w.ep.SendBufs(comm.NodeID(d), comm.KindUpdate, base+int32(p+j), comm.Buffers(bins)); err != nil {
-				return 0, err
-			}
-			w.endSpan(obs.PhaseDenseFlush, pass, j, -1, flushStart)
-		} else {
-			localChunks = bins // our own block, applied in ring position below
-		}
-		w.endSpan(obs.PhaseDenseStep, pass, j, -1, stepStart)
-	}
-	// Update application is identical to the legacy scan: collect in ring
-	// order so first-wins slots stay deterministic. Received frames are
-	// whole-bin concatenations; applyDenseUpdates walks them bin-at-a-time
-	// on the local side and as one frame from remote peers.
-	for j := 0; j < p; j++ {
-		src := ((w.id-1-j)%p + p) % p
-		if src == w.id {
-			for _, b := range localChunks {
-				reduced += applyDenseUpdates(w, params, b)
-			}
-			for _, b := range localChunks {
-				bufpool.Put(b)
-			}
-			continue
-		}
-		m, err := w.recvTimed(&w.updWait, comm.NodeID(src), comm.KindUpdate, base+int32(p+j),
-			obs.PhaseUpdateWait, pass, j, -1)
-		if err != nil {
-			return 0, err
-		}
-		reduced += applyDenseUpdates(w, params, m.Payload)
-		m.Release()
-	}
-	if depOn && params.Finalize != nil {
-		// depSkip/depData now hold the fully circulated state of our
-		// own partition (processed in the final step).
-		lane := make([]float64, lanes)
-		for idx, dst := range w.cluster.class.Highs[w.id] {
-			if params.ActiveDst != nil && !params.ActiveDst(dst) {
-				continue
-			}
-			for l := range lane {
-				lane[l] = depData[l][idx]
-			}
-			reduced += params.Finalize(dst, depSkip.Get(idx), lane)
-		}
-	}
-	return w.AllReduceSum(reduced)
+// denseScan drives the signal UDF over block positions for one dense
+// pass. It is built once per pass: the chunk function and the per-chunk
+// signal contexts are reused by every step and group, so pipelining a
+// step in groups allocates nothing per group, and a context's open emit
+// chunk carries across the groups of a step.
+type denseScan[M any] struct {
+	w         *Worker
+	params    *DenseParams[M]
+	block     *partition.Block
+	positions []int32
+	ctxs      []DenseCtx[M] // one per parallelRange chunk
+	bins      [][]byte      // the step's retired emit chunks
+	binsMu    sync.Mutex
+	chunk     func(i, start, end int)
 }
 
-// processDensePositions runs the signal over the block destinations at
-// the given positions, in parallel chunks, collecting update buffers.
-func processDensePositions[M any](w *Worker, params *DenseParams[M], block *partition.Block,
-	positions []int32, depOn bool, depSkip *bitset.Bitmap, depData [][]float64,
-	pooled bool, bufs *[][]byte, bufsMu *sync.Mutex) {
-	if len(positions) == 0 {
-		return
+func newDenseScan[M any](w *Worker, params *DenseParams[M]) *denseScan[M] {
+	s := &denseScan[M]{w: w, params: params, ctxs: make([]DenseCtx[M], w.cluster.opts.Workers)}
+	for i := range s.ctxs {
+		s.ctxs[i] = DenseCtx[M]{codec: params.Codec, size: params.Codec.Size(), bins: &s.bins, binsMu: &s.binsMu}
 	}
-	class := w.cluster.class
-	w.parallelRange(len(positions), func(start, end int) {
-		ctx := &DenseCtx[M]{
-			codec:    params.Codec,
-			size:     params.Codec.Size(),
-			pooled:   pooled,
-			chunks:   bufs,
-			chunksMu: bufsMu,
-			depOn:    depOn,
-			depSkip:  depSkip,
-			depData:  depData,
+	s.chunk = s.runChunk
+	return s
+}
+
+// run signals the destinations of block at the given positions, in
+// parallel chunks. depOn enables the dependency state for tracked
+// destinations.
+func (s *denseScan[M]) run(block *partition.Block, positions []int32,
+	depOn bool, depSkip *bitset.Bitmap, depData [][]float64) {
+	s.block, s.positions = block, positions
+	for i := range s.ctxs {
+		ctx := &s.ctxs[i]
+		ctx.depOn, ctx.depSkip, ctx.depData = depOn, depSkip, depData
+	}
+	s.w.parallelRange(len(positions), s.chunk)
+}
+
+func (s *denseScan[M]) runChunk(i, start, end int) {
+	ctx := &s.ctxs[i]
+	params, block, class := s.params, s.block, s.w.cluster.class
+	for _, pos := range s.positions[start:end] {
+		dst := block.Dsts[pos]
+		if params.ActiveDst != nil && !params.ActiveDst(dst) {
+			continue
 		}
-		for _, pos := range positions[start:end] {
-			dst := block.Dsts[pos]
-			if params.ActiveDst != nil && !params.ActiveDst(dst) {
-				continue
-			}
-			idx := class.TrackIndex[dst]
-			ctx.tracked = idx >= 0
-			ctx.trackIdx = idx
-			if depOn && ctx.tracked && depSkip.GetAtomic(int(idx)) {
-				ctx.skipped++
-				continue
-			}
-			ctx.curDst = dst
-			ctx.depBreak = false
-			params.Signal(ctx, dst, block.Sources(int(pos)), block.SourceWeights(int(pos)))
-			if depOn && ctx.tracked && ctx.depBreak {
-				depSkip.SetAtomic(int(idx))
-			}
+		idx := class.TrackIndex[dst]
+		ctx.tracked = idx >= 0
+		ctx.trackIdx = idx
+		if ctx.depOn && ctx.tracked && ctx.depSkip.GetAtomic(int(idx)) {
+			ctx.skipped++
+			continue
 		}
-		w.addEdges(ctx.edges)
-		w.addSkipped(ctx.skipped)
+		ctx.curDst = dst
+		ctx.depBreak = false
+		params.Signal(ctx, dst, block.Sources(int(pos)), block.SourceWeights(int(pos)))
+		if ctx.depOn && ctx.tracked && ctx.depBreak {
+			ctx.depSkip.SetAtomic(int(idx))
+		}
+	}
+}
+
+// retire ends a step: every context's open chunk joins the step's bins
+// (untouched chunks stay open for the next step), the traversal counters
+// are accounted, and the bins are handed to the caller.
+func (s *denseScan[M]) retire() [][]byte {
+	for i := range s.ctxs {
+		ctx := &s.ctxs[i]
 		if len(ctx.buf) > 0 {
-			bufsMu.Lock()
-			*bufs = append(*bufs, ctx.buf)
-			bufsMu.Unlock()
-		} else if pooled && ctx.buf != nil {
-			bufpool.Put(ctx.buf)
+			s.bins = append(s.bins, ctx.buf)
+			ctx.buf = nil
 		}
-	})
+		s.w.addEdges(ctx.edges)
+		s.w.addSkipped(ctx.skipped)
+		ctx.edges, ctx.skipped = 0, 0
+	}
+	bins := s.bins
+	s.bins = nil
+	return bins
+}
+
+// close returns the contexts' idle chunks to the slab.
+func (s *denseScan[M]) close() {
+	for i := range s.ctxs {
+		if buf := s.ctxs[i].buf; buf != nil {
+			bufpool.Put(buf)
+			s.ctxs[i].buf = nil
+		}
+	}
 }
 
 // applyDenseUpdates decodes (dst, msg) records and applies the slot at
@@ -523,52 +404,30 @@ func applyDenseUpdates[M any](w *Worker, params *DenseParams[M], payload []byte)
 	return reduced
 }
 
-// groupBounds splits the tracked index space [0, T) into B contiguous
-// groups with 64-aligned interior boundaries, so dependency frames
-// exchange whole bitmap words.
-func groupBounds(T, B int) []int {
-	bounds := make([]int, B+1)
-	for g := 1; g < B; g++ {
-		b := (T*g/B + 63) &^ 63
-		if b > T {
-			b = T
-		}
-		bounds[g] = b
-	}
-	bounds[B] = T
-	for g := 1; g <= B; g++ {
-		if bounds[g] < bounds[g-1] {
-			bounds[g] = bounds[g-1]
-		}
-	}
-	return bounds
+// depGroups is the number of pipelined dependency groups for a step
+// whose destination partition tracks T vertices with lanes data lanes:
+// NumBuffers, capped so that each group's frame carries at least
+// minDepGroupBytes of the step's whole frame, and at least 1. Every
+// machine derives it from the same static inputs, so sender and
+// receiver agree on the framing without negotiation.
+func depGroups(T, lanes, buffers int) int {
+	frameBytes := bitset.SegmentWordBytes(0, T) + lanes*T*8
+	return max(1, min(buffers, frameBytes/minDepGroupBytes))
 }
 
-// splitTrackedByGroup slices block.TrackedPos into per-group position
-// lists. TrackedPos is ascending by tracked index, so a single pass
-// suffices.
-func splitTrackedByGroup(class *partition.DegreeClass, block *partition.Block, bounds []int) [][]int32 {
-	B := len(bounds) - 1
-	splits := make([][]int32, B)
-	tp := block.TrackedPos
-	i := 0
-	for g := 0; g < B; g++ {
-		start := i
-		for i < len(tp) && int(class.TrackIndex[block.Dsts[tp[i]]]) < bounds[g+1] {
-			i++
-		}
-		splits[g] = tp[start:i]
-	}
-	return splits
+// groupBound returns boundary k (0 ≤ k ≤ groups) of the tracked index
+// space [0, T) cut into groups contiguous groups. Interior boundaries
+// are rounded up to a multiple of 64, so group frames exchange whole
+// bitmap words; rounding can leave trailing groups empty.
+func groupBound(T, groups, k int) int {
+	return min(T, (T*k/groups+63)&^63)
 }
 
 // encodeDepFrame serializes the dependency state for tracked indices
 // [gLo, gHi): the skip bitmap words followed by each data lane's values —
-// the paper's DepMessage in struct-of-arrays form (§6). With pooled set
-// the frame lives in a slab buffer whose ownership passes to the
-// transport via SendBufs; otherwise it is a plain allocation for the
-// aliasing Send (legacy data plane).
-func encodeDepFrame(depSkip *bitset.Bitmap, depData [][]float64, gLo, gHi int, pooled bool) []byte {
+// the paper's DepMessage in struct-of-arrays form (§6). The frame lives
+// in a slab buffer whose ownership passes to the transport via SendBufs.
+func encodeDepFrame(depSkip *bitset.Bitmap, depData [][]float64, gLo, gHi int) []byte {
 	if gLo >= gHi {
 		return nil
 	}
@@ -576,13 +435,7 @@ func encodeDepFrame(depSkip *bitset.Bitmap, depData [][]float64, gLo, gHi int, p
 		panic("core: dependency frame start not word-aligned")
 	}
 	n := bitset.SegmentWordBytes(gLo, gHi) + len(depData)*(gHi-gLo)*8
-	var out []byte
-	if pooled {
-		out = bufpool.Get(n)[:0]
-	} else {
-		out = make([]byte, 0, n)
-	}
-	out = depSkip.AppendSegmentLE(out, gLo, gHi)
+	out := depSkip.AppendSegmentLE(bufpool.Get(n)[:0], gLo, gHi)
 	for _, lane := range depData {
 		off := len(out)
 		out = out[:off+(gHi-gLo)*8]

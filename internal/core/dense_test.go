@@ -359,19 +359,49 @@ func TestDenseSkippedVerticesCounted(t *testing.T) {
 
 func TestGroupBounds(t *testing.T) {
 	for _, tc := range []struct{ T, B int }{{0, 1}, {0, 3}, {1, 1}, {64, 2}, {100, 3}, {1000, 4}, {63, 8}} {
-		b := groupBounds(tc.T, tc.B)
-		if len(b) != tc.B+1 || b[0] != 0 || b[tc.B] != tc.T {
-			t.Fatalf("T=%d B=%d: bounds %v", tc.T, tc.B, b)
+		if groupBound(tc.T, tc.B, 0) != 0 || groupBound(tc.T, tc.B, tc.B) != tc.T {
+			t.Fatalf("T=%d B=%d: outer bounds %d, %d", tc.T, tc.B, groupBound(tc.T, tc.B, 0), groupBound(tc.T, tc.B, tc.B))
 		}
 		for g := 1; g <= tc.B; g++ {
-			if b[g] < b[g-1] {
-				t.Fatalf("T=%d B=%d: bounds not monotone %v", tc.T, tc.B, b)
+			b, prev := groupBound(tc.T, tc.B, g), groupBound(tc.T, tc.B, g-1)
+			if b < prev {
+				t.Fatalf("T=%d B=%d: bounds not monotone at %d", tc.T, tc.B, g)
 			}
 			// Interior bounds are word-aligned unless clamped to T
 			// (which makes the following groups empty).
-			if g < tc.B && b[g]%64 != 0 && b[g] != tc.T {
-				t.Fatalf("T=%d B=%d: interior bound %d unaligned", tc.T, tc.B, b[g])
+			if g < tc.B && b%64 != 0 && b != tc.T {
+				t.Fatalf("T=%d B=%d: interior bound %d unaligned", tc.T, tc.B, b)
 			}
+		}
+	}
+}
+
+// TestDepGroupsRule checks the group-count rule: a step's dependency
+// frame splits into min(NumBuffers, frameBytes / 1 KiB) groups, so a
+// frame of 2 KiB or more is pipelined while a frame under 1 KiB — or
+// any frame with NumBuffers 1 — stays whole.
+func TestDepGroupsRule(t *testing.T) {
+	for _, tc := range []struct {
+		T, lanes, buffers, want int
+		frameBytes              int
+	}{
+		{T: 0, lanes: 1, buffers: 4, want: 1, frameBytes: 0},
+		{T: 1000, lanes: 0, buffers: 4, want: 1, frameBytes: 128},         // control-only frame
+		{T: 120, lanes: 1, buffers: 4, want: 1, frameBytes: 976},          // just under 1 KiB
+		{T: 200, lanes: 1, buffers: 4, want: 1, frameBytes: 1632},         // 1–2 KiB: one group
+		{T: 256, lanes: 1, buffers: 4, want: 2, frameBytes: 2080},         // ≥ 2 KiB splits
+		{T: 256, lanes: 1, buffers: 1, want: 1, frameBytes: 2080},         // double buffering off
+		{T: 512, lanes: 1, buffers: 2, want: 2, frameBytes: 4160},         // capped by NumBuffers
+		{T: 512, lanes: 1, buffers: 8, want: 4, frameBytes: 4160},         // capped by the floor
+		{T: 1 << 16, lanes: 0, buffers: 8, want: 8, frameBytes: 8192},     // a large bitmap alone
+		{T: 1500, lanes: 2, buffers: 3, want: 3, frameBytes: 192 + 24000}, // several lanes
+	} {
+		if got := bitset.SegmentWordBytes(0, tc.T) + tc.lanes*tc.T*8; got != tc.frameBytes {
+			t.Fatalf("T=%d lanes=%d: frame %d bytes, table says %d", tc.T, tc.lanes, got, tc.frameBytes)
+		}
+		if got := depGroups(tc.T, tc.lanes, tc.buffers); got != tc.want {
+			t.Errorf("T=%d lanes=%d B=%d (%d-byte frame): %d groups, want %d",
+				tc.T, tc.lanes, tc.buffers, tc.frameBytes, got, tc.want)
 		}
 	}
 }

@@ -18,7 +18,16 @@
 //   - double buffering (§5.3, generalized to ≥2 buffers as in §6): each
 //     step's tracked vertices are split into groups whose dependency
 //     frames are sent as soon as the group is processed, overlapping
-//     dependency communication with computation of the next group.
+//     dependency communication with computation of the next group. A
+//     step uses min(NumBuffers, frameBytes / 1 KiB) groups, and at
+//     least 1, where frameBytes is the step's whole dependency frame:
+//     every group frame carries at least 1 KiB, so frames under 2 KiB
+//     stay whole, their fixed per-frame cost outweighing the overlap.
+//
+// Each direction has one edge scan. Dense steps and sparse pushes bin
+// update records per destination partition into slab chunks that leave
+// as one vectored frame per (peer, step); sparse pushes read the
+// partition-blocked CSR and require an ascending frontier.
 //
 // ModeGemini runs the identical engine with dependency propagation
 // disabled — the paper's baseline ("Gemini can be considered as a special
@@ -74,9 +83,17 @@ type Options struct {
 	// communication. 0 disables differentiation (every vertex
 	// participates). Ignored in ModeGemini.
 	DepThreshold int
-	// NumBuffers is the double-buffering group count per step. 1
-	// disables double buffering; the paper's default is 2, and §6
-	// generalizes to more buffers.
+	// NumBuffers is the double-buffering group count per dense step
+	// (§5.3; the paper's default is 2, and §6 generalizes to more): a
+	// step's tracked vertices are cut into up to NumBuffers groups
+	// whose dependency frames are pipelined, each forwarded as soon as
+	// its group is scanned. The count actually used is
+	// min(NumBuffers, frameBytes / 1 KiB), and at least 1, where
+	// frameBytes is the step's whole dependency frame (skip bitmap plus
+	// data lanes of the destination partition's tracked vertices):
+	// frames under 2 KiB stay whole, since a small frame's fixed cost
+	// outweighs what splitting it can overlap. 1 disables double
+	// buffering.
 	NumBuffers int
 	// Workers is the number of worker goroutines per simulated machine
 	// (the paper's per-node worker threads). Defaults to 1.
@@ -96,29 +113,6 @@ type Options struct {
 	// steps, dependency/update waits, barriers, buffer flushes). nil
 	// disables tracing; the hot paths then pay one pointer test.
 	Tracer *obs.Tracer
-	// LegacyDataPlane selects the pre-zero-copy message assembly:
-	// garbage-collected per-chunk buffers concatenated into one payload
-	// per (step, destination) and sent through the aliasing Send, with
-	// dependency frames allocated per frame. The default (false) runs
-	// the slab-backed path — fixed-size chunks from internal/bufpool,
-	// vectored SendBufs with no concatenation, and Release after apply.
-	// Results are identical; only allocation and copy behavior differ.
-	// The benchmark harness uses this to reproduce the committed
-	// BENCH_0 baseline from the same tree.
-	LegacyDataPlane bool
-	// LegacyScan selects the pre-binning edge-scan loops: dense steps
-	// that send one dependency frame per (step, buffer group) and
-	// sparse pushes that route every emitted record through a per-emit
-	// owner lookup. The default (false) runs the partition-binned scan
-	// built on the blocked CSR: updates accumulate into cache-resident
-	// per-destination-partition bins flushed as one vectored frame per
-	// (peer, pass), and a step's dependency groups batch into a single
-	// frame. Results are bit-identical under the engine's determinism
-	// contract (Workers == 1); only cache behavior, frame counts and
-	// phase timings differ. The binned scan is built on the slab data
-	// plane, so LegacyDataPlane implies LegacyScan.
-	LegacyScan bool
-
 	// StallTimeout bounds every engine receive inside an edge-processing
 	// pass: a receive blocked longer returns a *StallError naming the
 	// blocked node, phase and awaited peer instead of hanging the run
@@ -160,11 +154,6 @@ type Options struct {
 // Warnings lists configuration adjustments recorded during validation
 // (nil before a cluster is built from these options).
 func (o Options) Warnings() []string { return o.warnings }
-
-// binnedScan reports whether the partition-binned edge scans are in
-// effect: they require the slab data plane, so the legacy data plane
-// forces the legacy scan too.
-func (o Options) binnedScan() bool { return !o.LegacyScan && !o.LegacyDataPlane }
 
 // validateAndDefault checks o and fills defaults. Error messages name
 // the CLI flag conventionally bound to the offending field so

@@ -101,6 +101,27 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
+// TestCancelAfterRunDoesNotPoison cancels each run's context right
+// after RunContext returns successfully — what a server does to every
+// request context after releasing its lease — and requires the next
+// run on the cluster to succeed: a finished run's cancellation watcher
+// must be gone before RunContext returns.
+func TestCancelAfterRunDoesNotPoison(t *testing.T) {
+	c := mustCluster(t, graph.Ring(16), Options{NumNodes: 2})
+	prog := func(w *Worker) error { return nil }
+	for i := 0; i < 2000; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := c.RunContext(ctx, prog)
+		cancel()
+		if err != nil {
+			t.Fatalf("iteration %d: RunContext: %v", i, err)
+		}
+		if err := c.Run(prog); err != nil {
+			t.Fatalf("iteration %d: run after a cancelled, finished run: %v", i, err)
+		}
+	}
+}
+
 // TestRunWithRecoveryRestartsAfterCrash kills node 1 at superstep 1 and
 // checks that RunWithRecovery re-forms the cluster and the second
 // attempt — against the same one-shot plan — completes cleanly.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/comm"
@@ -22,48 +21,44 @@ import (
 type SparseParams[M any] struct {
 	// Codec serializes update messages.
 	Codec Codec[M]
-	// Frontier lists the local master vertices to process. Engine
-	// determinism (and bit-identity between the legacy and binned
-	// scans) assumes ascending vertex order, which is how every
-	// in-tree frontier is built.
+	// Frontier lists the local master vertices to process, in strictly
+	// ascending order (ProcessEdgesSparse rejects any other order).
+	// Ascending sources are what make each peer's byte stream, and so
+	// first-wins slots, deterministic.
 	Frontier []graph.VertexID
 	// Signal is the sparse-signal UDF: it scans src's outgoing
 	// neighbors, calling ctx.Edge per neighbor examined and ctx.EmitTo
 	// to send a message to a destination's master.
 	//
-	// The binned scan may invoke Signal several times for one src —
-	// once per destination partition, with the adjacency subrange
-	// (still in adjacency order) owned by that partition. Sparse UDFs
-	// must therefore be per-edge decomposable: decide per destination
-	// in the supplied slice, and EmitTo only those destinations. There
-	// is no sparse analogue of the dense loop-carried break, so this
-	// costs no expressiveness.
+	// The scan invokes Signal once per (src, destination partition) —
+	// with the adjacency subrange (still in adjacency order) owned by
+	// that partition. Sparse UDFs must therefore be per-edge
+	// decomposable: decide per destination in the supplied slice, and
+	// EmitTo only those destinations. There is no sparse analogue of
+	// the dense loop-carried break, so this costs no expressiveness.
 	Signal func(ctx *SparseCtx[M], src graph.VertexID, dsts []graph.VertexID, weights []float32)
 	// Slot aggregates one message at the destination's master and
 	// returns a contribution to the pass's reduced value.
 	Slot func(dst graph.VertexID, msg M) int64
 }
 
-// SparseCtx is the per-worker sparse signal context.
+// SparseCtx is the per-worker sparse signal context. The scan fixes the
+// destination partition before invoking Signal, so EmitTo appends to
+// the current bin directly — no per-emit owner lookup. curLo/curHi
+// bound the current partition's vertex range; emitting outside it is a
+// UDF contract violation.
 type SparseCtx[M any] struct {
 	w     *Worker
 	codec Codec[M]
 	size  int
-	bufs  [][]byte // per destination machine (the current chunk when pooled)
 	edges int64
 
-	// pooled selects slab-backed chunked assembly (see emitChunkBytes);
-	// full chunks retire into the shared per-peer lists under chunksMu.
-	pooled   bool
+	// bins holds each destination partition's open slab chunk; full
+	// chunks retire into the shared per-peer lists under chunksMu.
+	bins     [][]byte
 	chunks   [][][]byte
 	chunksMu *sync.Mutex
 
-	// Binned scan state: the scan fixes the destination partition
-	// before invoking Signal, so EmitTo appends to the current bin
-	// directly — no per-emit owner lookup. curLo/curHi bound the
-	// current partition's vertex range; emitting outside it is a UDF
-	// contract violation.
-	binned       bool
 	cur          []byte
 	curQ         int
 	curLo, curHi graph.VertexID
@@ -74,38 +69,16 @@ func (ctx *SparseCtx[M]) Edge() { ctx.edges++ }
 
 // EmitTo sends msg to dst's master slot.
 func (ctx *SparseCtx[M]) EmitTo(dst graph.VertexID, msg M) {
-	rec := 4 + ctx.size
-	if ctx.binned {
-		// The scan pinned the destination partition: append to its bin,
-		// asserting the UDF kept to the supplied adjacency slice.
-		if dst < ctx.curLo || dst >= ctx.curHi {
-			panic(fmt.Sprintf("core: sparse signal emitted to vertex %d outside partition %d [%d,%d)",
-				dst, ctx.curQ, ctx.curLo, ctx.curHi))
-		}
-		buf := ctx.cur
-		if cap(buf)-len(buf) < rec {
-			if len(buf) > 0 {
-				ctx.chunksMu.Lock()
-				ctx.chunks[ctx.curQ] = append(ctx.chunks[ctx.curQ], buf)
-				ctx.chunksMu.Unlock()
-			} else if buf != nil {
-				bufpool.Put(buf)
-			}
-			buf = bufpool.Get(emitChunkBytes)[:0]
-		}
-		off := len(buf)
-		buf = append(buf, make([]byte, rec)...)
-		binary.LittleEndian.PutUint32(buf[off:], uint32(dst))
-		ctx.codec.Encode(buf[off+4:], msg)
-		ctx.cur = buf
-		return
+	if dst < ctx.curLo || dst >= ctx.curHi {
+		panic(fmt.Sprintf("core: sparse signal emitted to vertex %d outside partition %d [%d,%d)",
+			dst, ctx.curQ, ctx.curLo, ctx.curHi))
 	}
-	owner := ctx.w.cluster.part.Owner(dst)
-	buf := ctx.bufs[owner]
-	if ctx.pooled && cap(buf)-len(buf) < rec {
+	rec := 4 + ctx.size
+	buf := ctx.cur
+	if cap(buf)-len(buf) < rec {
 		if len(buf) > 0 {
 			ctx.chunksMu.Lock()
-			ctx.chunks[owner] = append(ctx.chunks[owner], buf)
+			ctx.chunks[ctx.curQ] = append(ctx.chunks[ctx.curQ], buf)
 			ctx.chunksMu.Unlock()
 		} else if buf != nil {
 			bufpool.Put(buf)
@@ -116,79 +89,34 @@ func (ctx *SparseCtx[M]) EmitTo(dst graph.VertexID, msg M) {
 	buf = append(buf, make([]byte, rec)...)
 	binary.LittleEndian.PutUint32(buf[off:], uint32(dst))
 	ctx.codec.Encode(buf[off+4:], msg)
-	ctx.bufs[owner] = buf
+	ctx.cur = buf
 }
 
 // beginPart switches the context's current bin to destination partition
 // q, saving the open bin of the previous partition for later.
 func (ctx *SparseCtx[M]) beginPart(q int) {
-	ctx.bufs[ctx.curQ] = ctx.cur
-	ctx.cur = ctx.bufs[q]
+	ctx.bins[ctx.curQ] = ctx.cur
+	ctx.cur = ctx.bins[q]
 	ctx.curQ = q
 	lo, hi := ctx.w.cluster.part.Range(q)
 	ctx.curLo, ctx.curHi = graph.VertexID(lo), graph.VertexID(hi)
 }
 
 // ProcessEdgesSparse runs one sparse pass and returns the global sum of
-// slot contributions. Every frontier vertex must be a local master.
+// slot contributions. Every frontier vertex must be a local master, and
+// the frontier must be strictly ascending.
+//
+// The frontier is split into source blocks of the partition-blocked
+// CSR; for each (block, destination partition) range the scan fixes the
+// bin once and signals every frontier source's partition-restricted
+// adjacency row into it, confining the scan's writes to one
+// cache-resident bin at a time. Per destination peer the emitted byte
+// stream follows ascending sources, adjacency order within a row, so
+// results — including first-wins slots — are deterministic under the
+// engine's determinism contract (Workers == 1). Scan work stays
+// frontier-proportional: rows are offset lookups, never block-wide edge
+// sweeps. Each peer's bins leave as one vectored frame.
 func ProcessEdgesSparse[M any](w *Worker, params SparseParams[M]) (int64, error) {
-	if w.cluster.opts.binnedScan() && w.layout.Blocked != nil && frontierAscending(params.Frontier) {
-		return processEdgesSparseBinned(w, &params)
-	}
-	p := w.N()
-	base := w.nextTags(1)
-	g := w.cluster.g
-	w.observeStep()
-	pass := w.sparsePass
-	w.sparsePass++
-	pushStart := w.spanStart()
-
-	pooled := !w.cluster.opts.LegacyDataPlane
-	chunks := make([][][]byte, p) // per-peer buffer lists (whole records per buffer)
-	var mu sync.Mutex
-	w.parallelRange(len(params.Frontier), func(start, end int) {
-		ctx := &SparseCtx[M]{
-			w:        w,
-			codec:    params.Codec,
-			size:     params.Codec.Size(),
-			bufs:     make([][]byte, p),
-			pooled:   pooled,
-			chunks:   chunks,
-			chunksMu: &mu,
-		}
-		for _, src := range params.Frontier[start:end] {
-			if !w.Owns(src) {
-				panic(fmt.Sprintf("core: node %d asked to push from vertex %d it does not own", w.id, src))
-			}
-			params.Signal(ctx, src, g.OutNeighbors(src), g.OutWeights(src))
-		}
-		w.addEdges(ctx.edges)
-		mu.Lock()
-		for peer, b := range ctx.bufs {
-			if len(b) > 0 {
-				chunks[peer] = append(chunks[peer], b)
-			} else if pooled && b != nil {
-				bufpool.Put(b)
-			}
-		}
-		mu.Unlock()
-	})
-	return sparseExchange(w, &params, base, pass, pooled, chunks, pushStart)
-}
-
-// processEdgesSparseBinned is the partition-binned sparse pass (PR 9's
-// scan). The frontier is split into source blocks of the blocked CSR;
-// for each (block, destination partition) range the scan fixes the bin
-// once and signals every frontier source's partition-restricted
-// adjacency row into it — replacing the legacy path's per-emit owner
-// binary search with a slice append, and confining the scan's writes to
-// one cache-resident bin at a time. Per destination peer the emitted
-// byte stream is identical to the legacy scan's (sources ascend across
-// blocks, adjacency order within a row), so results — including
-// first-wins slots — are bit-identical under the engine's determinism
-// contract (Workers == 1). Scan work stays frontier-proportional: rows
-// are offset lookups, never block-wide edge sweeps.
-func processEdgesSparseBinned[M any](w *Worker, params *SparseParams[M]) (int64, error) {
 	p := w.N()
 	base := w.nextTags(1)
 	bc := w.layout.Blocked
@@ -203,13 +131,15 @@ func processEdgesSparseBinned[M any](w *Worker, params *SparseParams[M]) (int64,
 	f := params.Frontier
 	var groups [][]graph.VertexID
 	for i := 0; i < len(f); {
-		if !w.Owns(f[i]) {
-			panic(fmt.Sprintf("core: node %d asked to push from vertex %d it does not own", w.id, f[i]))
-		}
 		b := (int(f[i]) - srcLo) / bv
-		j := i + 1
-		for j < len(f) && (int(f[j])-srcLo)/bv == b {
-			j++
+		j := i
+		for ; j < len(f) && (int(f[j])-srcLo)/bv == b; j++ {
+			if !w.Owns(f[j]) {
+				panic(fmt.Sprintf("core: node %d asked to push from vertex %d it does not own", w.id, f[j]))
+			}
+			if j > 0 && f[j-1] >= f[j] {
+				return 0, fmt.Errorf("core: sparse frontier not strictly ascending at index %d (%d after %d)", j, f[j], f[j-1])
+			}
 		}
 		groups = append(groups, f[i:j])
 		i = j
@@ -217,18 +147,15 @@ func processEdgesSparseBinned[M any](w *Worker, params *SparseParams[M]) (int64,
 
 	chunks := make([][][]byte, p) // per-peer bin lists (whole records per bin)
 	var mu sync.Mutex
-	w.parallelRange(len(groups), func(start, end int) {
+	w.parallelRange(len(groups), func(_, start, end int) {
 		ctx := &SparseCtx[M]{
 			w:        w,
 			codec:    params.Codec,
 			size:     params.Codec.Size(),
-			bufs:     make([][]byte, p),
-			pooled:   true,
+			bins:     make([][]byte, p),
 			chunks:   chunks,
 			chunksMu: &mu,
-			binned:   true,
 		}
-		ctx.beginPart(0)
 		for _, srcs := range groups[start:end] {
 			for q := 0; q < p; q++ {
 				ctx.beginPart(q)
@@ -241,10 +168,10 @@ func processEdgesSparseBinned[M any](w *Worker, params *SparseParams[M]) (int64,
 				}
 			}
 		}
-		ctx.bufs[ctx.curQ] = ctx.cur
+		ctx.bins[ctx.curQ] = ctx.cur
 		w.addEdges(ctx.edges)
 		mu.Lock()
-		for peer, b := range ctx.bufs {
+		for peer, b := range ctx.bins {
 			if len(b) > 0 {
 				chunks[peer] = append(chunks[peer], b)
 			} else if b != nil {
@@ -253,59 +180,20 @@ func processEdgesSparseBinned[M any](w *Worker, params *SparseParams[M]) (int64,
 		}
 		mu.Unlock()
 	})
-	return sparseExchange(w, params, base, pass, true, chunks, pushStart)
-}
 
-// frontierAscending reports whether the frontier is strictly ascending —
-// the order both scans emit in. A non-ascending frontier (possible for
-// out-of-tree callers) falls back to the legacy scan, which follows
-// list order exactly.
-func frontierAscending(f []graph.VertexID) bool {
-	for i := 1; i < len(f); i++ {
-		if f[i-1] >= f[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sparseExchange ships the pass's per-peer buffers, applies the local
-// share, then receives and applies each peer's frame — common to both
-// scans. Remote frames arrive as one vectored frame per (peer, pass).
-func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass int,
-	pooled bool, chunks [][][]byte, pushStart time.Time) (int64, error) {
-	p := w.N()
+	// Ship each peer's bins, apply the local share, then receive and
+	// apply each peer's frame.
 	var reduced int64
 	for peer := 0; peer < p; peer++ {
 		if peer == w.id {
 			for _, b := range chunks[peer] {
-				reduced += applySparseUpdates(w, params, b)
-			}
-			if pooled {
-				for _, b := range chunks[peer] {
-					bufpool.Put(b)
-				}
+				reduced += applySparseUpdates(w, &params, b)
+				bufpool.Put(b)
 			}
 			continue
 		}
-		if pooled {
-			// Vectored hand-off: no concatenation, chunks return to the
-			// slab after the write.
-			if err := w.ep.SendBufs(comm.NodeID(peer), comm.KindUpdate, base, comm.Buffers(chunks[peer])); err != nil {
-				return 0, err
-			}
-		} else {
-			var total int
-			for _, b := range chunks[peer] {
-				total += len(b)
-			}
-			payload := make([]byte, 0, total)
-			for _, b := range chunks[peer] {
-				payload = append(payload, b...)
-			}
-			if err := w.ep.Send(comm.NodeID(peer), comm.KindUpdate, base, payload); err != nil {
-				return 0, err
-			}
+		if err := w.ep.SendBufs(comm.NodeID(peer), comm.KindUpdate, base, comm.Buffers(chunks[peer])); err != nil {
+			return 0, err
 		}
 	}
 	w.endSpan(obs.PhaseSparsePush, pass, -1, -1, pushStart)
@@ -318,7 +206,7 @@ func sparseExchange[M any](w *Worker, params *SparseParams[M], base int32, pass 
 		if err != nil {
 			return 0, err
 		}
-		reduced += applySparseUpdates(w, params, m.Payload)
+		reduced += applySparseUpdates(w, &params, m.Payload)
 		m.Release()
 	}
 	return w.AllReduceSum(reduced)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -103,6 +104,40 @@ func TestSparseEmptyFrontier(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSparseRejectsUnorderedFrontier checks that ascending frontier
+// order is part of ProcessEdgesSparse's contract: a descending or
+// repeating frontier fails the pass with an error instead of producing
+// an order-dependent result.
+func TestSparseRejectsUnorderedFrontier(t *testing.T) {
+	g := graph.RMAT(8, 8, graph.Graph500Params(), 3)
+	for name, order := range map[string]func(lo, hi int) []graph.VertexID{
+		"descending": func(lo, hi int) []graph.VertexID {
+			return []graph.VertexID{graph.VertexID(hi - 1), graph.VertexID(lo)}
+		},
+		"repeated": func(lo, hi int) []graph.VertexID {
+			return []graph.VertexID{graph.VertexID(lo), graph.VertexID(lo)}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := mustCluster(t, g, Options{NumNodes: 2})
+			err := c.Run(func(w *Worker) error {
+				_, err := ProcessEdgesSparse(w, SparseParams[uint32]{
+					Codec:    U32Codec{},
+					Frontier: order(w.MasterRange()),
+					Signal: func(*SparseCtx[uint32], graph.VertexID, []graph.VertexID, []float32) {
+						t.Error("signal ran on an unordered frontier")
+					},
+					Slot: func(graph.VertexID, uint32) int64 { return 1 },
+				})
+				return err
+			})
+			if err == nil || !strings.Contains(err.Error(), "not strictly ascending") {
+				t.Fatalf("Run error %v, want a frontier-order error", err)
+			}
+		})
 	}
 }
 

@@ -126,90 +126,104 @@ func TestStatsNodeSharesSumToTotals(t *testing.T) {
 }
 
 // TestStatsTracerPhases checks that an attached tracer yields per-phase
-// histograms in the snapshot, covering dense steps, waits and barriers —
-// under both scan paths, whose framing (and therefore span counts)
-// differ: the legacy scan sends one dependency frame per (step, buffer
-// group), the binned scan one per step (none for blocks with no tracked
-// vertices) and splits DenseStep into scan/bin/flush sub-phases.
+// histograms in the snapshot, covering dense steps, waits and barriers,
+// with exact span counts for the pipelined dependency groups: every
+// non-empty group of a step receives one frame (DepWait) unless the
+// step is the first, and assembles (DenseBin) and forwards
+// (BufferFlush) one unless the step is the last. The one-lane dense
+// pass makes some steps' frames large enough to split. The subtest is
+// named for the binned scan, the one dense scan path.
 func TestStatsTracerPhases(t *testing.T) {
-	g := graph.RMAT(9, 8, graph.Graph500Params(), 11)
-	for _, legacyScan := range []bool{true, false} {
-		name := "binned"
-		if legacyScan {
-			name = "legacy"
+	t.Run("binned", func(t *testing.T) {
+		g := graph.RMAT(10, 8, graph.Graph500Params(), 11)
+		const p, B = 4, 4
+		tr := obs.NewTracer()
+		c := mustCluster(t, g, Options{NumNodes: p, Mode: ModeSympleGraph, DepThreshold: 0, NumBuffers: B, Tracer: tr})
+		err := c.Run(func(w *Worker) error {
+			if _, err := ProcessEdgesDense(w, DenseParams[uint32]{
+				Codec: U32Codec{},
+				Lanes: 1,
+				Signal: func(ctx *DenseCtx[uint32], dst graph.VertexID, srcs []graph.VertexID, _ []float32) {
+					for range srcs {
+						ctx.Edge()
+					}
+					ctx.SetDepFloat(0, ctx.DepFloat(0)+float64(len(srcs)))
+					ctx.Emit(uint32(len(srcs)))
+				},
+				Slot: func(dst graph.VertexID, msg uint32) int64 { return int64(msg) },
+			}); err != nil {
+				return err
+			}
+			return denseCountProgram(true)(w)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			tr := obs.NewTracer()
-			c := mustCluster(t, g, Options{
-				NumNodes: 4, Mode: ModeSympleGraph, DepThreshold: 8, NumBuffers: 2,
-				Tracer: tr, LegacyScan: legacyScan,
-			})
-			if err := c.Run(denseCountProgram(true)); err != nil {
-				t.Fatal(err)
-			}
-			s := c.Stats()
-			byPhase := map[obs.Phase]int64{}
-			nodesSeen := map[int]bool{}
-			for _, ps := range s.Phases {
-				byPhase[ps.Phase] += ps.Hist.Count
-				nodesSeen[ps.Node] = true
-			}
-			// 4 nodes × 4 steps per dense pass.
-			if byPhase[obs.PhaseDenseStep] != 16 {
-				t.Fatalf("DenseStep count %d, want 16", byPhase[obs.PhaseDenseStep])
-			}
-			if byPhase[obs.PhaseSparsePush] != 4 {
-				t.Fatalf("SparsePush count %d, want 4", byPhase[obs.PhaseSparsePush])
-			}
-			if byPhase[obs.PhaseBarrier] == 0 || byPhase[obs.PhaseUpdateWait] == 0 {
-				t.Fatalf("missing barrier/update-wait spans: %v", byPhase)
-			}
-			if len(nodesSeen) != 4 {
-				t.Fatalf("phases cover %d nodes", len(nodesSeen))
-			}
-			if legacyScan {
-				// Each node receives and forwards (p-1)×B dependency
-				// frames; no binned sub-phases exist on this path.
-				if byPhase[obs.PhaseDepWait] != 4*3*2 {
-					t.Fatalf("DepWait count %d, want 24", byPhase[obs.PhaseDepWait])
-				}
-				if byPhase[obs.PhaseBufferFlush] != 4*3*2 {
-					t.Fatalf("BufferFlush count %d, want 24", byPhase[obs.PhaseBufferFlush])
-				}
-				for _, ph := range []obs.Phase{obs.PhaseDenseScan, obs.PhaseDenseBin, obs.PhaseDenseFlush} {
-					if byPhase[ph] != 0 {
-						t.Fatalf("%v count %d on the legacy scan", ph, byPhase[ph])
+		byPhase := map[obs.Phase]int64{}
+		nodesSeen := map[int]bool{}
+		for _, ps := range c.Stats().Phases {
+			byPhase[ps.Phase] += ps.Hist.Count
+			nodesSeen[ps.Node] = true
+		}
+		if len(nodesSeen) != p {
+			t.Fatalf("phases cover %d nodes", len(nodesSeen))
+		}
+
+		// Expected spans, walking every (node, step, group) of both passes.
+		var depWait, depSend, scans, split int64
+		for _, lanes := range []int{1, 0} {
+			for m := 0; m < p; m++ {
+				for j := 0; j < p; j++ {
+					d := (m + 1 + j) % p
+					T := len(c.class.Highs[d])
+					groups := depGroups(T, lanes, B)
+					if groups > 1 {
+						split++
+					}
+					scans++ // the low-degree scan
+					for k := 0; k < groups; k++ {
+						lo, hi := groupBound(T, groups, k), groupBound(T, groups, k+1)
+						if len(c.layouts[m].Blocks[d].TrackedSlice(lo, hi)) > 0 {
+							scans++
+						}
+						if lo == hi {
+							continue
+						}
+						if j > 0 {
+							depWait++
+						}
+						if j < p-1 {
+							depSend++
+						}
 					}
 				}
-				return
 			}
-			// Binned: one batched dependency frame per step, and only for
-			// blocks whose destination partition has tracked vertices.
-			trackedParts := int64(0)
-			for _, highs := range c.class.Highs {
-				if len(highs) > 0 {
-					trackedParts++
-				}
+		}
+		if split == 0 {
+			t.Fatal("no step split its dependency frame; the test does not exercise pipelining")
+		}
+		want := map[obs.Phase]int64{
+			obs.PhaseDenseStep:   2 * p * p,
+			obs.PhaseDenseScan:   scans,
+			obs.PhaseDepWait:     depWait,
+			obs.PhaseDenseBin:    depSend,
+			obs.PhaseBufferFlush: depSend,
+			obs.PhaseDenseFlush:  2 * p * (p - 1), // one update frame per remote step
+			obs.PhaseSparsePush:  p,
+			obs.PhaseUpdateWait:  3 * p * (p - 1),
+		}
+		for ph, n := range want {
+			if byPhase[ph] != n {
+				t.Errorf("%v count %d, want %d", ph, byPhase[ph], n)
 			}
-			wantDep := 3 * trackedParts // (p-1) × partitions with tracked vertices
-			if byPhase[obs.PhaseDepWait] != wantDep {
-				t.Fatalf("DepWait count %d, want %d", byPhase[obs.PhaseDepWait], wantDep)
-			}
-			if byPhase[obs.PhaseDenseBin] != wantDep {
-				t.Fatalf("DenseBin count %d, want %d", byPhase[obs.PhaseDenseBin], wantDep)
-			}
-			// Dep flushes plus one update flush per remote step.
-			if byPhase[obs.PhaseDenseFlush] != wantDep+4*3 {
-				t.Fatalf("DenseFlush count %d, want %d", byPhase[obs.PhaseDenseFlush], wantDep+12)
-			}
-			if byPhase[obs.PhaseDenseScan] < 16 {
-				t.Fatalf("DenseScan count %d, want ≥ 16", byPhase[obs.PhaseDenseScan])
-			}
-			if byPhase[obs.PhaseBufferFlush] != 0 {
-				t.Fatalf("BufferFlush count %d on the binned scan", byPhase[obs.PhaseBufferFlush])
-			}
-		})
-	}
+		}
+		if byPhase[obs.PhaseBarrier] == 0 {
+			t.Fatalf("missing barrier spans: %v", byPhase)
+		}
+		if got := c.Stats().Totals.DependencyMessages; got != depSend {
+			t.Fatalf("%d dependency frames, want %d", got, depSend)
+		}
+	})
 }
 
 // TestStatsWarningsReportClamps checks that explicitly out-of-range

@@ -344,7 +344,7 @@ func (w *Worker) AllGatherBlob(blob []byte) ([][]byte, error) {
 func (w *Worker) ProcessVertices(fn func(v graph.VertexID) int64) (int64, error) {
 	lo, hi := w.MasterRange()
 	var local atomic.Int64
-	w.parallelRange(hi-lo, func(start, end int) {
+	w.parallelRange(hi-lo, func(_, start, end int) {
 		var acc int64
 		for v := lo + start; v < lo+end; v++ {
 			acc += fn(graph.VertexID(v))
@@ -354,13 +354,15 @@ func (w *Worker) ProcessVertices(fn func(v graph.VertexID) int64) (int64, error)
 	return w.AllReduceSum(local.Load())
 }
 
-// parallelRange splits [0, n) into Options.Workers chunks and runs fn on
-// each concurrently. With Workers == 1 it runs inline.
-func (w *Worker) parallelRange(n int, fn func(start, end int)) {
+// parallelRange splits [0, n) into at most Options.Workers chunks and
+// runs fn(i, start, end) on each concurrently, i being the chunk's index
+// (below Workers, distinct among concurrent calls). With Workers == 1 it
+// runs inline.
+func (w *Worker) parallelRange(n int, fn func(i, start, end int)) {
 	nw := w.cluster.opts.Workers
 	if nw <= 1 || n < 2*nw {
 		if n > 0 {
-			fn(0, n)
+			fn(0, 0, n)
 		}
 		return
 	}
@@ -372,10 +374,10 @@ func (w *Worker) parallelRange(n int, fn func(start, end int)) {
 			end = n
 		}
 		wg.Add(1)
-		go func(start, end int) {
+		go func(i, start, end int) {
 			defer wg.Done()
-			fn(start, end)
-		}(start, end)
+			fn(i, start, end)
+		}(start/chunk, start, end)
 	}
 	wg.Wait()
 }

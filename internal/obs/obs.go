@@ -57,16 +57,17 @@ const (
 	// PhaseRecovery is cluster re-formation plus checkpoint restore
 	// after a failed run.
 	PhaseRecovery
-	// PhaseDenseScan is the binned dense scan's signal loop over one
-	// (block, degree-class) slice: edge reads and bin appends, no
+	// PhaseDenseScan is the dense step's signal loop over one slice of
+	// the block — its low-degree destinations, or one dependency
+	// group's tracked destinations: edge reads and bin appends, no
 	// transport. Sub-phase of PhaseDenseStep.
 	PhaseDenseScan
-	// PhaseDenseBin is frame assembly in the binned dense step:
-	// encoding the batched dependency frame from the step's skip/lane
-	// state. Sub-phase of PhaseDenseStep.
+	// PhaseDenseBin is dependency-frame assembly in the dense step:
+	// encoding one group's frame from the step's skip/lane state.
+	// Sub-phase of PhaseDenseStep.
 	PhaseDenseBin
-	// PhaseDenseFlush is the vectored hand-off of a step's bins (one
-	// SendBufs per peer) in the binned dense step. Sub-phase of
+	// PhaseDenseFlush is the vectored hand-off of a step's update bins
+	// to the destination partition's master. Sub-phase of
 	// PhaseDenseStep.
 	PhaseDenseFlush
 	// NumPhases is the number of phases; valid phases are < NumPhases.

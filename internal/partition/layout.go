@@ -24,6 +24,20 @@ type Block struct {
 	// dependency propagation (ascending tracked index), LowPos the rest.
 	TrackedPos []int32
 	LowPos     []int32
+
+	// trackedCuts[w] counts the TrackedPos entries whose tracked index
+	// is below 64·w, for w up to the destination partition's tracked
+	// word count; TrackedSlice reads group boundaries from it.
+	trackedCuts []int32
+}
+
+// TrackedSlice returns the TrackedPos entries whose tracked index lies
+// in [lo, hi) — one dependency group's share of the block. Each bound
+// must be a multiple of 64 or the destination partition's tracked
+// count, as the engine's word-aligned group boundaries are. It never
+// allocates.
+func (b *Block) TrackedSlice(lo, hi int) []int32 {
+	return b.TrackedPos[b.trackedCuts[(lo+63)/64]:b.trackedCuts[(hi+63)/64]]
 }
 
 // NumEdges returns the edge count of the block.
@@ -100,11 +114,9 @@ type Layout struct {
 	Blocks  []*Block // indexed by destination partition
 
 	// Blocked is the partition-blocked view of the machine's out-CSR
-	// (push mode's source-blocked, destination-partitioned scan order).
-	// Built on demand by AttachBlocked when the binned scan is enabled;
-	// nil layouts fall back to the flat push scan. Pull mode needs no
-	// analogue: Blocks already group edges by (machine block,
-	// destination partition).
+	// (push mode's source-blocked, destination-partitioned scan order),
+	// built by AttachBlocked. Pull mode needs no analogue: Blocks
+	// already group edges by (machine block, destination partition).
 	Blocked *graph.BlockedCSR
 }
 
@@ -158,6 +170,14 @@ func BuildLayout(g *graph.Graph, pt *Partition, dc *DegreeClass, m int) *Layout 
 			} else {
 				b.LowPos = append(b.LowPos, int32(pos))
 			}
+		}
+		words := (len(dc.Highs[d]) + 63) / 64
+		b.trackedCuts = make([]int32, words+1)
+		for w, i := 1, 0; w <= words; w++ {
+			for i < len(b.TrackedPos) && int(dc.TrackIndex[b.Dsts[b.TrackedPos[i]]]) < 64*w {
+				i++
+			}
+			b.trackedCuts[w] = int32(i)
 		}
 		lay.Blocks[d] = b
 	}

@@ -284,3 +284,51 @@ func TestQuickBlocksPartitionEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTrackedSliceMatchesFilter checks Block.TrackedSlice against a
+// direct filter of TrackedPos for every pair of word-aligned bounds
+// (and the tracked count itself), on thresholds that track everything,
+// some vertices, and none.
+func TestTrackedSliceMatchesFilter(t *testing.T) {
+	g := graph.RMAT(10, 8, graph.Graph500Params(), 7)
+	for _, p := range []int{1, 3} {
+		pt, err := NewChunked(g, p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, thr := range []int{0, 8, 1 << 20} {
+			dc := BuildDegreeClass(g, pt, thr)
+			for m := 0; m < p; m++ {
+				lay := BuildLayout(g, pt, dc, m)
+				for d, b := range lay.Blocks {
+					T := len(dc.Highs[d])
+					var bounds []int
+					for x := 0; x < T; x += 64 {
+						bounds = append(bounds, x)
+					}
+					bounds = append(bounds, T)
+					for i, lo := range bounds {
+						for _, hi := range bounds[i:] {
+							var want []int32
+							for _, pos := range b.TrackedPos {
+								if idx := int(dc.TrackIndex[b.Dsts[pos]]); idx >= lo && idx < hi {
+									want = append(want, pos)
+								}
+							}
+							got := b.TrackedSlice(lo, hi)
+							if len(got) != len(want) {
+								t.Fatalf("p=%d thr=%d m=%d d=%d [%d,%d): %d positions, want %d",
+									p, thr, m, d, lo, hi, len(got), len(want))
+							}
+							for k := range got {
+								if got[k] != want[k] {
+									t.Fatalf("p=%d thr=%d m=%d d=%d [%d,%d): position %d differs", p, thr, m, d, lo, hi, k)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/mutate"
 )
 
 // postMutate fires one mutation batch and decodes the response.
@@ -357,64 +358,65 @@ func TestMutateChaos(t *testing.T) {
 	}
 }
 
-// TestMutateBinnedScanIdentity drives the real POST /mutate route on
-// two servers that differ only in the engine's scan path (binned vs
-// legacy), then compares answers on the parent epoch and on the
-// post-commit epoch for a mix of dense- and sparse-heavy algorithms.
-// Every epoch advance rebuilds engines from the new snapshot, so this
-// proves the partition-blocked CSR is re-derived correctly (not carried
-// stale) across mutations reaching the engine through the serving
-// layer.
-func TestMutateBinnedScanIdentity(t *testing.T) {
+// TestMutateMatchesFromScratch drives the real POST /mutate route, then
+// compares the mutated server's answers — on the new epoch and pinned
+// to the parent epoch — with servers built from scratch on the child
+// and the parent graph, for a mix of dense- and sparse-heavy
+// algorithms. Every epoch advance rebuilds engines from the new
+// snapshot, so this proves the layouts and partition-blocked CSR are
+// re-derived correctly (not carried stale) across mutations reaching
+// the engine through the serving layer.
+func TestMutateMatchesFromScratch(t *testing.T) {
 	g := graph.Symmetrize(graph.RMAT(8, 8, graph.Graph500Params(), 17))
-	servers := map[string]*httptest.Server{}
-	for name, legacy := range map[string]bool{"binned": false, "legacy": true} {
-		s := testServer(t, Config{
-			Graphs: map[string]*graph.Graph{"g": g},
-			Engine: core.Options{NumNodes: 4, Mode: core.ModeSympleGraph, DepThreshold: 8, NumBuffers: 2, LegacyScan: legacy},
-		})
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		servers[name] = ts
+	removed := g.OutNeighbors(3)[0]
+	batch := mutate.Batch{Ops: []mutate.Mutation{
+		{Op: mutate.OpAddEdge, Src: 1, Dst: 200},
+		{Op: mutate.OpAddEdge, Src: 200, Dst: 1},
+		{Op: mutate.OpRemoveEdge, Src: removed, Dst: 3},
+	}}
+	child, err := mutate.Apply(g, batch)
+	if err != nil {
+		t.Fatal(err)
 	}
+	engine := core.Options{NumNodes: 4, Mode: core.ModeSympleGraph, DepThreshold: 8, NumBuffers: 2}
+	serve := func(g *graph.Graph) string {
+		s := testServer(t, Config{Graphs: map[string]*graph.Graph{"g": g}, Engine: engine})
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	mutated, scratchParent, scratchChild := serve(g), serve(g), serve(child)
 
-	batch := MutateRequest{
+	code, mr, body := postMutate(t, mutated, MutateRequest{
 		Graph: "g",
 		Mutations: []MutationJSON{
 			addEdge(1, 200), addEdge(200, 1),
-			{Op: "remove_edge", Src: uint32(g.OutNeighbors(3)[0]), Dst: 3},
+			{Op: "remove_edge", Src: uint32(removed), Dst: 3},
 		},
 		Verify: true,
-	}
-	epochs := map[string]uint64{}
-	for name, ts := range servers {
-		code, mr, body := postMutate(t, ts.URL, batch)
-		if code != http.StatusOK || !mr.Verified {
-			t.Fatalf("%s mutate: %d %s", name, code, body)
-		}
-		epochs[name] = mr.Epoch
-	}
-	if epochs["binned"] != epochs["legacy"] {
-		t.Fatalf("epoch skew: %v", epochs)
+	})
+	if code != http.StatusOK || !mr.Verified {
+		t.Fatalf("mutate: %d %s", code, body)
 	}
 
 	queries := []string{
 		"algo=bfs&root=1", "algo=cc", "algo=kcore&k=4", "algo=sssp&root=1", "algo=pagerank&iters=4",
 	}
 	for _, q := range queries {
-		for _, pin := range []string{"", fmt.Sprintf("&epoch=%d", epochs["binned"]-1)} {
-			url := "/query?graph=g&no_cache=1&" + q + pin
-			code, binned, body := getResponse(t, servers["binned"].URL+url)
+		for pin, scratch := range map[string]string{
+			"": scratchChild, fmt.Sprintf("&epoch=%d", mr.Epoch-1): scratchParent,
+		} {
+			url := "/query?graph=g&no_cache=1&" + q
+			code, got, body := getResponse(t, mutated+url+pin)
 			if code != http.StatusOK {
-				t.Fatalf("binned %s: %d %s", url, code, body)
+				t.Fatalf("mutated %s%s: %d %s", url, pin, code, body)
 			}
-			code, legacy, body := getResponse(t, servers["legacy"].URL+url)
+			code, want, body := getResponse(t, scratch+url)
 			if code != http.StatusOK {
-				t.Fatalf("legacy %s: %d %s", url, code, body)
+				t.Fatalf("scratch %s: %d %s", url, code, body)
 			}
-			if !reflect.DeepEqual(binned.Result, legacy.Result) || binned.Epoch != legacy.Epoch {
-				t.Fatalf("%s: binned %+v (epoch %d) != legacy %+v (epoch %d)",
-					url, binned.Result, binned.Epoch, legacy.Result, legacy.Epoch)
+			if !reflect.DeepEqual(got.Result, want.Result) {
+				t.Fatalf("%s%s: mutated server %+v != from-scratch %+v", url, pin, got.Result, want.Result)
 			}
 		}
 	}

@@ -111,8 +111,15 @@ type Pool struct {
 	graphs    map[string]*graphEntry
 	mu        sync.Mutex
 	entries   map[entryKey]*poolEntry
-	slots     []*slot // every slot ever built, for stats aggregation
 	nextID    int
+
+	// live holds every built slot whose engine is not yet closed, for
+	// reading restart counts; closed slots leave it so a superseded
+	// epoch's engines become unreachable. builds (per provider) and
+	// closedRestarts keep the lifetime totals the closed slots took out.
+	live           map[*slot]struct{}
+	builds         map[string]int
+	closedRestarts int64
 }
 
 // NewPool validates the configuration and indexes the graphs and
@@ -133,6 +140,8 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		providers: make(map[string]EngineProvider, len(cfg.Providers)),
 		graphs:    make(map[string]*graphEntry, len(cfg.Graphs)),
 		entries:   make(map[entryKey]*poolEntry),
+		live:      make(map[*slot]struct{}),
+		builds:    make(map[string]int, len(cfg.Providers)),
 	}
 	for _, prov := range cfg.Providers {
 		if _, dup := p.providers[prov.Name()]; dup {
@@ -287,7 +296,7 @@ func (p *Pool) freshen(prov EngineProvider, ge *graphEntry, e *poolEntry, s *slo
 	if !isStale(s.eng) {
 		return s, nil
 	}
-	s.eng.Close()
+	p.closeSlot(s)
 	fresh, err := p.build(prov, ge, s.epoch, s.variant, s.mode)
 	if err != nil {
 		e.mu.Lock()
@@ -314,9 +323,23 @@ func (p *Pool) build(prov EngineProvider, ge *graphEntry, epoch uint64, v graphV
 	}
 	s := &slot{eng: eng, provider: prov.Name(), graph: ge.name, epoch: st.Epoch(), variant: v, mode: mode, id: id}
 	p.mu.Lock()
-	p.slots = append(p.slots, s)
+	p.live[s] = struct{}{}
+	p.builds[s.provider]++
 	p.mu.Unlock()
 	return s, nil
+}
+
+// closeSlot closes s's engine and drops the slot from the live set,
+// folding its restart count into the lifetime total.
+func (p *Pool) closeSlot(s *slot) {
+	restarts := s.eng.Stats().Restarts
+	s.eng.Close()
+	p.mu.Lock()
+	if _, ok := p.live[s]; ok {
+		delete(p.live, s)
+		p.closedRestarts += restarts
+	}
+	p.mu.Unlock()
 }
 
 // Release returns the slot to its free list. The engine first completes
@@ -336,7 +359,7 @@ func (p *Pool) Release(s *slot) {
 
 	if ge := p.graphs[s.graph]; ge != nil {
 		if _, hi := ge.store.Window(); s.epoch < hi {
-			s.eng.Close()
+			p.closeSlot(s)
 			e := p.entry(keyOf(s))
 			e.mu.Lock()
 			e.built--
@@ -357,7 +380,7 @@ func (p *Pool) Release(s *slot) {
 		rebuild = true
 	}
 	if rebuild {
-		s.eng.Close()
+		p.closeSlot(s)
 		prov := p.providers[s.provider]
 		ge := p.graphs[s.graph]
 		var fresh *slot
@@ -385,7 +408,7 @@ func (p *Pool) Release(s *slot) {
 		// Free list full: a replacement was built while this slot was
 		// out (can't happen in the current accounting, but never block
 		// a release).
-		s.eng.Close()
+		p.closeSlot(s)
 	}
 }
 
@@ -417,7 +440,7 @@ func (p *Pool) RetireEpochs(graphName string) int {
 		for {
 			select {
 			case s := <-v.e.free:
-				s.eng.Close()
+				p.closeSlot(s)
 				v.e.mu.Lock()
 				v.e.built--
 				v.e.mu.Unlock()
@@ -435,18 +458,22 @@ func (p *Pool) RetireEpochs(graphName string) int {
 // slots are abandoned; call only after the server has drained.
 func (p *Pool) Close() {
 	p.mu.Lock()
+	entries := make([]*poolEntry, 0, len(p.entries))
 	for _, e := range p.entries {
+		entries = append(entries, e)
+	}
+	p.mu.Unlock()
+	for _, e := range entries {
 		for {
 			select {
 			case s := <-e.free:
-				s.eng.Close()
+				p.closeSlot(s)
 			default:
 				goto next
 			}
 		}
 	next:
 	}
-	p.mu.Unlock()
 	for _, prov := range p.providers {
 		prov.Close()
 	}
@@ -457,10 +484,13 @@ func (p *Pool) Close() {
 // absorbed. Reading a leased engine's stats mid-run is safe.
 func (p *Pool) Restarts() int64 {
 	p.mu.Lock()
-	slots := append([]*slot(nil), p.slots...)
+	total := p.closedRestarts
+	live := make([]*slot, 0, len(p.live))
+	for s := range p.live {
+		live = append(live, s)
+	}
 	p.mu.Unlock()
-	var total int64
-	for _, s := range slots {
+	for _, s := range live {
 		total += s.eng.Stats().Restarts
 	}
 	return total
@@ -470,7 +500,11 @@ func (p *Pool) Restarts() int64 {
 func (p *Pool) Slots() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.slots)
+	n := 0
+	for _, b := range p.builds {
+		n += b
+	}
+	return n
 }
 
 // Fleets collects the roster snapshot of every provider that tracks
@@ -491,10 +525,7 @@ func (p *Pool) ProviderSlots() map[string]int {
 	defer p.mu.Unlock()
 	out := make(map[string]int, len(p.providers))
 	for n := range p.providers {
-		out[n] = 0
-	}
-	for _, s := range p.slots {
-		out[s.provider]++
+		out[n] = p.builds[n]
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/mutate"
 )
 
 // localTestPool builds a pool backed by the in-process provider alone.
@@ -191,5 +192,105 @@ func TestPoolNamesSorted(t *testing.T) {
 	}
 	if got := p.ProviderNames(); !reflect.DeepEqual(got, []string{"local"}) {
 		t.Fatalf("ProviderNames() = %v", got)
+	}
+}
+
+// closeTracker is a provider wrapper that records every engine it
+// builds and which of them have been closed.
+type closeTracker struct {
+	EngineProvider
+	mu     sync.Mutex
+	built  []*trackedEngine
+	closed map[*trackedEngine]bool
+}
+
+type trackedEngine struct {
+	Engine
+	tr *closeTracker
+}
+
+func (e *trackedEngine) Close() error {
+	e.tr.mu.Lock()
+	e.tr.closed[e] = true
+	e.tr.mu.Unlock()
+	return e.Engine.Close()
+}
+
+func (ct *closeTracker) Build(spec BuildSpec) (Engine, error) {
+	eng, err := ct.EngineProvider.Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	te := &trackedEngine{Engine: eng, tr: ct}
+	ct.mu.Lock()
+	ct.built = append(ct.built, te)
+	ct.mu.Unlock()
+	return te, nil
+}
+
+// TestPoolDropsClosedSlots commits three epochs — each superseding the
+// engines built for the one before, some idle (RetireEpochs closes
+// them) and one leased across the commit (Release closes it) — and
+// checks that the pool's live set holds exactly the unclosed engines
+// while the lifetime totals still count every engine ever built.
+func TestPoolDropsClosedSlots(t *testing.T) {
+	g := graph.Symmetrize(testGraph(6, 2))
+	ct := &closeTracker{
+		EngineProvider: NewLocalProvider(LocalProviderConfig{Options: core.Options{NumNodes: 2}}),
+		closed:         map[*trackedEngine]bool{},
+	}
+	p, err := NewPool(PoolConfig{Graphs: map[string]*graph.Graph{"g": g}, Providers: []EngineProvider{ct}, SlotsPerEntry: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	ctx := context.Background()
+	mode := core.ModeSympleGraph
+	ge, _ := p.Entry("g")
+	for epoch := 0; epoch < 3; epoch++ {
+		idle, err := p.Lease(ctx, "", "g", 0, variantDirected, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, err := p.Lease(ctx, "", "g", 0, variantUndirected, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release(idle)
+		batch := mutate.Batch{Ops: []mutate.Mutation{{Op: mutate.OpAddEdge, Src: 1, Dst: graph.VertexID(10 + epoch)}}}
+		if _, err := ge.commit(batch, false); err != nil {
+			t.Fatal(err)
+		}
+		p.RetireEpochs("g")
+		p.Release(held) // superseded while leased: closed on the way back
+	}
+	last, err := p.Lease(ctx, "", "g", 0, variantDirected, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release(last)
+
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	if p.Slots() != len(ct.built) || p.ProviderSlots()["local"] != len(ct.built) || len(ct.built) != 7 {
+		t.Fatalf("pool reports %d builds (%v), provider built %d, want 7",
+			p.Slots(), p.ProviderSlots(), len(ct.built))
+	}
+	var restarts int64
+	for _, e := range ct.built {
+		restarts += e.Stats().Restarts
+	}
+	if p.Restarts() != restarts {
+		t.Fatalf("pool reports %d restarts, engines %d", p.Restarts(), restarts)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for s := range p.live {
+		if ct.closed[s.eng.(*trackedEngine)] {
+			t.Fatalf("live set holds closed slot %d (epoch %d)", s.id, s.epoch)
+		}
+	}
+	if want := len(ct.built) - len(ct.closed); len(p.live) != want || want != 1 {
+		t.Fatalf("live set holds %d slots, %d engines unclosed, want 1", len(p.live), want)
 	}
 }

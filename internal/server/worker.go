@@ -521,10 +521,13 @@ func (d *WorkerDaemon) serveSlot(wc *workerConn, bm buildMsg) {
 		return
 	}
 	defer eng.Close()
+	// Count the slot before replying, so a front-end whose build has
+	// returned never reads a count that lags it.
+	d.slotsBuilt.Add(1)
 	if err := cc.Send("up", upMsg{}); err != nil {
+		d.slotsBuilt.Add(-1)
 		return
 	}
-	d.slotsBuilt.Add(1)
 	d.cfg.Logf("sgworker: slot up as node %d/%d for %s/%s (%v)",
 		bm.Node, bm.Nodes, bm.Graph, bm.Variant, mode)
 
